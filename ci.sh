@@ -97,6 +97,14 @@ go test -count=1 -run TestPivotRegressionGate ./internal/milp/
 echo "== go test -race -run 'Warm' ./internal/lp/ ./internal/milp/"
 go test -race -count=1 -run 'Warm' -timeout 10m ./internal/lp/ ./internal/milp/
 
+# Differential gate for the one simplex engine: fuzz general small LPs of
+# the accepted class (mixed LE/GE/EQ rows, signed data, negative costs on
+# bounded columns, crossed bound overrides) against the exact math/big
+# oracle — status, objective and a feasible optimal point — for a bounded
+# time.
+echo "== go test -fuzz FuzzGeneralLP ./internal/lp/ (15s)"
+go test -run '^$' -fuzz '^FuzzGeneralLP$' -fuzztime 15s ./internal/lp/
+
 # Incremental-equivalence gate: a mutation storm of every delta kind (add,
 # remove, move and traffic-change subscribers; add and remove base stations)
 # where each incremental solve through warmed zone-level stores must be

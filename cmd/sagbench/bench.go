@@ -124,7 +124,7 @@ func runBenchJSON(path string) error {
 		return fmt.Errorf("bench lp warm: %w", err)
 	}
 	if !warmProbe.WarmStarted {
-		return fmt.Errorf("bench lp warm: warm start fell back to cold on the fixture")
+		return fmt.Errorf("bench lp warm: the parent basis failed on the fixture and the solve fell back down the ladder")
 	}
 	r = testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
@@ -185,8 +185,11 @@ func runBenchJSON(path string) error {
 			BBNodes:    float64(d.nodes),
 			LPPivots:   d.pivots,
 			WarmSolves: float64(d.warm),
-			// Nodes not warm-started were solved cold: the per-zone tree
-			// roots plus the warm-start fallbacks (d.cold of the latter).
+			// Nodes not warm-started were solved cold, i.e. not from their
+			// parent's basis: the per-zone tree roots (slack basis) plus the
+			// nodes whose parent basis failed and walked the lp fallback
+			// ladder. d.cold counts every ladder walk, roots and power LPs
+			// included.
 			ColdSolves: float64(d.nodes - d.warm),
 		})
 	}

@@ -184,7 +184,7 @@ func TestZoneStatusErr(t *testing.T) {
 			t.Errorf("zoneStatusErr(%v, %v) = %v, want %v", c.status, c.deadlineHit, got, c.want)
 		}
 	}
-	if err := zoneStatusErr(milp.Unbounded, false); err == nil {
+	if err := zoneStatusErr(milp.Status(0), false); err == nil {
 		t.Error("unexpected status must error")
 	}
 }

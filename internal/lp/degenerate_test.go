@@ -1,6 +1,8 @@
 package lp_test
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -9,7 +11,10 @@ import (
 
 // bealeProblem is Beale's classic cycling example: under Dantzig's rule
 // with naive tie-breaking the simplex cycles forever through degenerate
-// bases. The optimum is -0.05 at x = (0.04, 0, 1, 0).
+// bases. The optimum is -0.05 at x = (0.04, 0, 1, 0). The negative-cost
+// columns x1 and x3 get an upper bound of 1, which the solver's accepted
+// class requires and which binds at neither coordinate of the optimum (x3's
+// is the same as its constraint row).
 func bealeProblem(t *testing.T) *lp.Problem {
 	t.Helper()
 	p := lp.NewProblem()
@@ -17,6 +22,11 @@ func bealeProblem(t *testing.T) *lp.Problem {
 	x2 := p.AddVariable("x2", 150)
 	x3 := p.AddVariable("x3", -0.02)
 	x4 := p.AddVariable("x4", 6)
+	for _, v := range []int{x1, x3} {
+		if err := p.SetUpperBound(v, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, c := range []struct {
 		terms []lp.Term
 		rhs   float64
@@ -32,8 +42,9 @@ func bealeProblem(t *testing.T) *lp.Problem {
 	return p
 }
 
-// TestBealeCycling proves the Devex+stall-fallback path terminates on
-// Beale's cycling example with the same optimum as pure Bland's rule.
+// TestBealeCycling proves the dual simplex's Devex+stall-fallback pricing
+// terminates on Beale's cycling example with the same optimum as pure
+// Bland's rule.
 func TestBealeCycling(t *testing.T) {
 	const want = -0.05
 	for _, mode := range []struct {
@@ -119,7 +130,8 @@ func TestDegenerateCover(t *testing.T) {
 // TestDegenerateCoverWarm warm-starts the degenerate cover LP from its own
 // optimal basis under a tightened bound — the degenerate-crash completion
 // path (fewer Basic columns than rows) must either finish on the dual
-// simplex or fall back, never mis-solve.
+// simplex or walk the fallback ladder, never mis-solve. The exact oracle is
+// the reference.
 func TestDegenerateCoverWarm(t *testing.T) {
 	p := degenerateCoverLP(t)
 	s := lp.NewSolver()
@@ -135,15 +147,31 @@ func TestDegenerateCoverWarm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := lp.NewSolver().Solve(p, map[int]float64{v: 1}, nil)
-		if err != nil {
-			t.Fatal(err)
+		st, obj, _, _ := lp.NewOracle(p).Solve(map[int]float64{v: 1}, nil)
+		if warm.Status != st {
+			t.Fatalf("fix x%d=1: warm status %v, oracle %v", v, warm.Status, st)
 		}
-		if warm.Status != cold.Status {
-			t.Fatalf("fix x%d=1: warm status %v, cold %v", v, warm.Status, cold.Status)
+		if warm.Status == lp.Optimal && math.Abs(warm.Objective-obj) > 1e-9 {
+			t.Errorf("fix x%d=1: warm objective %v, oracle %v", v, warm.Objective, obj)
 		}
-		if warm.Status == lp.Optimal && math.Abs(warm.Objective-cold.Objective) > 1e-9 {
-			t.Errorf("fix x%d=1: warm objective %v, cold %v", v, warm.Objective, cold.Objective)
-		}
+	}
+}
+
+// TestIterationLimit caps a solve that needs several dual pivots at one:
+// the exhausted budget must surface as ErrIterationLimit through the
+// ErrWarmStart wrapping (branch-and-bound skips a node on it), on both the
+// plain and the warm entry points.
+func TestIterationLimit(t *testing.T) {
+	p := degenerateCoverLP(t)
+	sol, err := p.Solve()
+	if err != nil || sol.Status != lp.Optimal || sol.Iterations < 2 {
+		t.Fatalf("uncapped solve: sol = %+v, err = %v; want optimal in >= 2 pivots", sol, err)
+	}
+	p.SetMaxIterations(1)
+	if _, err := p.Solve(); !errors.Is(err, lp.ErrIterationLimit) || !errors.Is(err, lp.ErrWarmStart) {
+		t.Errorf("Solve: err = %v, want ErrIterationLimit wrapped in ErrWarmStart", err)
+	}
+	if _, err := lp.NewSolver().WarmSolve(context.Background(), p, nil, nil, nil); !errors.Is(err, lp.ErrIterationLimit) {
+		t.Errorf("WarmSolve: err = %v, want ErrIterationLimit", err)
 	}
 }

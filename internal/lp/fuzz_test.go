@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -39,8 +40,8 @@ func fuzzCoveringProblem(t *testing.T, seed int64, n, m int) *Problem {
 }
 
 // FuzzWarmStart stresses the warm-solve entry point: a randomized covering
-// LP is solved cold for its basis, then re-solved under fuzzed bound
-// overrides both warm and cold. The warm result must match the cold result
+// LP is solved from the slack basis for its root basis, then re-solved warm
+// under fuzzed bound overrides. The warm result must match the exact oracle
 // in status and objective, and its point must satisfy the constraints — the
 // fallback ladder may fire, but never a wrong answer.
 func FuzzWarmStart(f *testing.F) {
@@ -73,18 +74,15 @@ func FuzzWarmStart(f *testing.F) {
 		if err != nil {
 			t.Fatalf("warm solve: %v", err)
 		}
-		cold, err := NewSolver().Solve(p, lower, upper)
-		if err != nil {
-			t.Fatalf("cold solve: %v", err)
-		}
-		if warm.Status != cold.Status {
-			t.Fatalf("warm status %v, cold %v (lower=%v upper=%v)", warm.Status, cold.Status, lower, upper)
+		want := ratSolve(p, lower, upper)
+		if warm.Status != want.status {
+			t.Fatalf("warm status %v, oracle %v (lower=%v upper=%v)", warm.Status, want.status, lower, upper)
 		}
 		if warm.Status != Optimal {
 			return
 		}
-		if math.Abs(warm.Objective-cold.Objective) > 1e-6*math.Max(1, math.Abs(cold.Objective)) {
-			t.Fatalf("warm objective %v, cold %v (lower=%v upper=%v)", warm.Objective, cold.Objective, lower, upper)
+		if obj := want.objFloat(); math.Abs(warm.Objective-obj) > 1e-6*math.Max(1, math.Abs(obj)) {
+			t.Fatalf("warm objective %v, oracle %v (lower=%v upper=%v)", warm.Objective, obj, lower, upper)
 		}
 		ok, err := p.CheckFeasible(warm.X, 1e-5)
 		if err != nil {
@@ -160,5 +158,149 @@ func FuzzSimplexCovering(f *testing.F) {
 		default:
 			t.Fatalf("unexpected status %v for bounded covering LP", sol.Status)
 		}
+	})
+}
+
+// fuzzGeneralProblem builds a small LP of the accepted class with every
+// feature the solver supports: mixed LE/GE/EQ rows with signed coefficients
+// and right-hand sides, zero, positive and negative costs, finite and
+// infinite upper bounds, and lower/upper overrides, crossed ones included.
+// A negative-cost column gets its finite upper bound from the problem or,
+// sometimes, only from an upper override. Most rows hold at a random anchor
+// point inside the bounds, so about half of the LPs are feasible. Values
+// are multiples of 0.5 (0.25 for anchored right-hand sides), so ties and
+// degenerate vertices are common and infeasibility margins stay far from
+// the solver's tolerances.
+func fuzzGeneralProblem(t *testing.T, seed int64, nRaw, mRaw uint8) (p *Problem, lower, upper map[int]float64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	half := func(lo, hi int) float64 { return float64(lo+rng.Intn(hi-lo+1)) / 2 }
+	n := int(nRaw%8) + 1
+	m := int(mRaw%8) + 1
+	p = NewProblem()
+	lower, upper = map[int]float64{}, map[int]float64{}
+	anchor := make([]float64, n)
+	for i := 0; i < n; i++ {
+		cost := 0.0
+		if rng.Intn(4) != 0 {
+			cost = half(-4, 4)
+		}
+		v := p.AddVariable("x", cost)
+		switch {
+		case cost < 0 && rng.Intn(4) == 0:
+			upper[v] = half(0, 6) // the override alone bounds it
+		case cost < 0 || rng.Intn(2) == 0:
+			if err := p.SetUpperBound(v, half(0, 6)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if rng.Intn(3) == 0 {
+			lower[v] = half(-1, 4)
+		}
+		if _, ok := upper[v]; !ok && rng.Intn(3) == 0 {
+			upper[v] = half(-1, 6)
+		}
+		lo, up := math.Max(lower[v], 0), math.Min(p.ub[v], 4)
+		if u, ok := upper[v]; ok {
+			up = math.Min(up, math.Max(u, 0))
+		}
+		anchor[v] = math.Max(lo, math.Min(up, half(0, 8)))
+	}
+	for k := 0; k < m; k++ {
+		var terms []Term
+		act := 0.0
+		for i := 0; i < n; i++ {
+			if rng.Intn(3) != 0 {
+				c := half(-6, 6)
+				terms = append(terms, Term{Var: i, Coef: c})
+				act += c * anchor[i]
+			}
+		}
+		op := Op(1 + rng.Intn(3))
+		rhs := half(-8, 8)
+		if rng.Intn(5) != 0 {
+			switch op {
+			case LE:
+				rhs = act + half(0, 2)
+			case GE:
+				rhs = act - half(0, 2)
+			case EQ:
+				rhs = act
+			}
+		}
+		if err := p.AddConstraint(terms, op, rhs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return p, lower, upper
+}
+
+// checkAgainstOracle fails t unless sol (from err) matches the exact oracle
+// want in status and objective and, when optimal, its point satisfies every
+// constraint, bound and override.
+func checkAgainstOracle(t *testing.T, what string, p *Problem, lower, upper map[int]float64, sol *Solution, err error, want ratResult) {
+	t.Helper()
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if sol.Status != want.status {
+		t.Fatalf("%s: status %v, oracle %v (lower=%v upper=%v)", what, sol.Status, want.status, lower, upper)
+	}
+	if sol.Status != Optimal {
+		return
+	}
+	if obj := want.objFloat(); math.Abs(sol.Objective-obj) > 1e-6*math.Max(1, math.Abs(obj)) {
+		t.Fatalf("%s: objective %v, oracle %v (lower=%v upper=%v)", what, sol.Objective, obj, lower, upper)
+	}
+	if ok, err := p.CheckFeasible(sol.X, 1e-6); err != nil || !ok {
+		t.Fatalf("%s: optimal point %v violates the constraints (%v)", what, sol.X, err)
+	}
+	for v, lb := range lower {
+		if sol.X[v] < lb-1e-6 {
+			t.Fatalf("%s: x[%d] = %v below its lower override %v", what, v, sol.X[v], lb)
+		}
+	}
+	for v, ub := range upper {
+		if sol.X[v] > math.Max(ub, 0)+1e-6 {
+			t.Fatalf("%s: x[%d] = %v above its upper override %v", what, v, sol.X[v], ub)
+		}
+	}
+}
+
+// FuzzGeneralLP is the differential fuzzer of the engine against the exact
+// math/big oracle on general small LPs of the accepted class (see
+// fuzzGeneralProblem): the plain solve from the slack basis, the root solve
+// without overrides, and the warm re-solve from the root's basis under the
+// overrides must all agree with the oracle.
+func FuzzGeneralLP(f *testing.F) {
+	f.Add(int64(1), uint8(3), uint8(4))
+	f.Add(int64(7), uint8(7), uint8(7))
+	f.Add(int64(-3), uint8(0), uint8(2))
+	f.Add(int64(2024), uint8(5), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, mRaw uint8) {
+		p, lower, upper := fuzzGeneralProblem(t, seed, nRaw, mRaw)
+		want := ratSolve(p, lower, upper)
+		if want.unbounded {
+			t.Fatalf("oracle: unbounded LP generated inside the accepted class")
+		}
+		s := NewSolver()
+		sol, err := s.Solve(p, lower, upper)
+		checkAgainstOracle(t, "solve", p, lower, upper, sol, err, want)
+
+		// Negative-cost columns bounded only by an override are outside the
+		// class without it, so the root solve keeps those overrides.
+		rootUpper := map[int]float64{}
+		for v, ub := range upper {
+			if p.obj[v] < 0 && math.IsInf(p.ub[v], 1) {
+				rootUpper[v] = ub
+			}
+		}
+		root, err := s.WarmSolve(context.Background(), p, nil, rootUpper, nil)
+		checkAgainstOracle(t, "root", p, nil, rootUpper, root, err, ratSolve(p, nil, rootUpper))
+		if root.Status != Optimal {
+			return
+		}
+		warm, err := s.WarmSolve(context.Background(), p, lower, upper, root.Basis)
+		checkAgainstOracle(t, "warm", p, lower, upper, warm, err, want)
 	})
 }

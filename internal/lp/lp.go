@@ -1,29 +1,38 @@
-// Package lp implements a dense two-phase primal simplex solver for linear
-// programs in the form
+// Package lp implements a dense bounded-variable dual simplex solver for
+// linear programs in the form
 //
 //	minimize    c.x
 //	subject to  a_k.x (<=|=|>=) b_k      for each constraint k
 //	            0 <= x_i <= ub_i         (ub optional, +Inf by default)
 //
-// It substitutes for the LP path of Gurobi 5.0 used by the paper: the
-// power-minimization "LPQC" (eqs. 3.6-3.9) becomes a pure LP once the
+// where every variable with a negative cost has a finite upper bound (the
+// accepted class; other LPs are rejected with ErrUnboundedColumn before any
+// pivot). It substitutes for the LP path of Gurobi 5.0 used by the paper:
+// the power-minimization "LPQC" (eqs. 3.6-3.9) becomes a pure LP once the
 // coverage assignment is fixed, and the branch-and-bound MILP solver in
-// sagrelay/internal/milp solves its node relaxations here.
+// sagrelay/internal/milp solves its node relaxations here. Every LP those
+// callers build is a covering model with costs in {0, 1}, well inside the
+// class.
 //
-// Pivot selection uses Devex pricing (an inexpensive steepest-edge
-// approximation) with a deterministic anti-cycling guard: a fixed-iteration
-// stall detector switches the phase to Bland's rule, which provably
-// terminates. All tie-breaks go to the lowest variable index, so solves are
-// bit-reproducible across runs and worker counts. All arithmetic is dense
-// float64 and solves are bounded by an iteration budget. Problem sizes in
-// this repository are at most a few hundred variables and constraints per
-// zone, well within dense-simplex territory.
+// There is one engine. Variable bounds stay implicit (nonbasic columns sit
+// at a bound), and a solve starts the dual simplex from a dual-feasible
+// basis: the caller's warm-start Basis (a branch-and-bound parent's
+// optimum), or the all-slack basis, which bound flips alone make dual
+// feasible for the accepted class, so no primal phase, artificial columns
+// or bound rows are needed. A starting basis that turns out unusable
+// (singular, drifted, non-finite) is handled by a fallback ladder inside
+// the same engine: refactorize at the last basis reached, then restart
+// from the slack basis; only when every rung fails is the typed
+// ErrWarmStart returned.
 //
-// For branch-and-bound, Solver.WarmSolve re-solves a problem under changed
-// variable bounds starting from a parent Basis: a bound-flipping dual
-// simplex over the bounded-variable form restores primal feasibility in a
-// few pivots, falling back to the cold two-phase path (typed ErrWarmStart,
-// never a wrong answer) when the warm basis is unusable.
+// Leaving rows are priced with dual Devex weights and a deterministic
+// anti-cycling guard: a fixed-iteration stall detector switches the solve
+// to Bland's rule, which provably terminates. All tie-breaks go to the
+// lowest variable index, so solves are bit-reproducible across runs and
+// worker counts. All arithmetic is dense float64 and solves are bounded by
+// a pivot budget. Problem sizes in this repository are at most a few
+// hundred variables and constraints per zone, well within dense-simplex
+// territory.
 package lp
 
 import (
@@ -61,11 +70,12 @@ func (o Op) String() string {
 // Status is the outcome of a solve.
 type Status int
 
-// Solve outcomes. (Enums start at 1 so the zero value is invalid.)
+// Solve outcomes. (Enums start at 1 so the zero value is invalid.) An LP of
+// the accepted class is bounded below, so there is no unbounded outcome:
+// LPs outside the class are rejected with ErrUnboundedColumn instead.
 const (
 	Optimal Status = iota + 1
 	Infeasible
-	Unbounded
 )
 
 // String renders the status.
@@ -75,8 +85,6 @@ func (s Status) String() string {
 		return "optimal"
 	case Infeasible:
 		return "infeasible"
-	case Unbounded:
-		return "unbounded"
 	default:
 		return fmt.Sprintf("Status(%d)", int(s))
 	}
@@ -109,8 +117,9 @@ func NewProblem() *Problem {
 	return &Problem{maxIts: 0}
 }
 
-// SetMaxIterations caps simplex pivots per phase; 0 means the default
-// (50000 + 50*(m+n)). ErrIterationLimit is returned when exceeded.
+// SetMaxIterations caps the dual simplex pivots of one solve, across the
+// fallback ladder's rungs; 0 means the default (50000 + 50*(m+n)). A solve
+// that needs more returns an error wrapping ErrIterationLimit.
 func (p *Problem) SetMaxIterations(n int) { p.maxIts = n }
 
 // NumVariables returns the number of variables added so far.
@@ -120,7 +129,9 @@ func (p *Problem) NumVariables() int { return len(p.obj) }
 func (p *Problem) NumConstraints() int { return len(p.cons) }
 
 // AddVariable adds a variable x >= 0 with the given objective coefficient
-// and returns its index. name is for diagnostics only.
+// and returns its index. name is for diagnostics only. A negative
+// coefficient needs a finite upper bound by solve time (SetUpperBound or a
+// per-solve override), or the solve fails with ErrUnboundedColumn.
 func (p *Problem) AddVariable(name string, obj float64) int {
 	p.obj = append(p.obj, obj)
 	p.ub = append(p.ub, math.Inf(1))
@@ -233,8 +244,8 @@ func (p *Problem) Objective(x []float64) (float64, error) {
 	return obj, nil
 }
 
-// Solution is the result of a successful Solve with Status Optimal, or a
-// diagnosis (Infeasible/Unbounded) with zeroed values.
+// Solution is the result of a successful Solve with Status Optimal, or an
+// Infeasible diagnosis with zeroed values.
 //
 // (Problem.Clone was deleted with the warm-start work: Solve never modifies
 // the base problem, so branch-and-bound re-solves one shared Problem with
@@ -243,17 +254,20 @@ type Solution struct {
 	Status    Status
 	X         []float64
 	Objective float64
-	// Iterations is the total number of simplex pivots across both phases
-	// (or dual pivots, for a warm-started solve).
+	// Iterations is the total number of dual simplex pivots, across the
+	// fallback ladder's rungs when it was walked.
 	Iterations int
 	// Basis is the optimal basis snapshot for warm-starting a re-solve
 	// under changed bounds. Only (*Solver).WarmSolve populates it (on
 	// Optimal solutions); plain Solve leaves it nil so non-tree callers pay
-	// nothing.
+	// nothing. A warm-started solution carries its final dual basis; a cold
+	// one (started from the slack basis, or a ladder retry) carries a basis
+	// crashed from its optimal point.
 	Basis *Basis
-	// WarmStarted reports that the warm-started dual simplex path produced
-	// this solution (false: the cold two-phase path, whether called
-	// directly or as a fallback).
+	// WarmStarted reports that the caller's warm-start basis produced this
+	// solution. It is false for a cold solve: one started from the slack
+	// basis (a nil basis, plain Solve) or one the fallback ladder finished
+	// after the caller's basis failed.
 	WarmStarted bool
 }
 
@@ -268,9 +282,11 @@ var ErrIterationLimit = errors.New("lp: simplex iteration limit exceeded")
 // recoverable failure the degradation ladder can act on.
 var ErrNumerical = errors.New("lp: non-finite value (numerical breakdown)")
 
-// Solve runs two-phase simplex and returns the solution. Infeasible and
-// unbounded problems are reported through Solution.Status with a nil error;
-// the error return is reserved for resource exhaustion and internal faults.
+// Solve runs the dual simplex from the slack basis and returns the
+// solution. Infeasible problems are reported through Solution.Status with a
+// nil error; the error return is reserved for LPs outside the accepted
+// class (ErrUnboundedColumn), invalid input, resource exhaustion and
+// internal faults.
 //
 // Each call uses a fresh Solver; callers that re-solve the same problem
 // with varying bounds (branch-and-bound) should hold a Solver and call its

@@ -56,8 +56,6 @@ const (
 	Feasible
 	// Infeasible means no integer-feasible point exists.
 	Infeasible
-	// Unbounded means the relaxation is unbounded below.
-	Unbounded
 	// Limit means a limit stopped the search before any incumbent was found.
 	Limit
 )
@@ -71,8 +69,6 @@ func (s Status) String() string {
 		return "feasible"
 	case Infeasible:
 		return "infeasible"
-	case Unbounded:
-		return "unbounded"
 	case Limit:
 		return "limit"
 	default:
@@ -165,9 +161,10 @@ type Result struct {
 	Nodes int
 	// Pivots is the total simplex pivot count across all node relaxations.
 	Pivots int
-	// WarmSolves counts node relaxations completed by the warm-started dual
-	// simplex; ColdSolves counts the rest (the root, warm-start fallbacks,
-	// and nodes without a usable parent basis).
+	// WarmSolves counts node relaxations the parent's basis solved;
+	// ColdSolves counts the rest: the root, started from the slack basis
+	// (unless Options.SeedBasis warm-starts it), and the nodes whose parent
+	// basis failed, which the lp solver's fallback ladder finished.
 	WarmSolves int
 	ColdSolves int
 	// DeadlineHit reports that the wall-clock Options.TimeLimit stopped the
@@ -210,13 +207,15 @@ type node struct {
 	// column (variables + constraints), shared by pointer between siblings
 	// — a few hundred bytes per open node on per-zone ILPQC instances,
 	// dwarfed by the node's own bound maps, even under OrderBestBound's
-	// wide frontiers. nil (root) means a cold solve.
+	// wide frontiers. nil (root) means a cold solve from the slack basis.
 	basis *lp.Basis
 }
 
 // Solve minimizes the problem with the variables marked in isInt restricted
-// to integer values. The base problem is not modified. Infeasible and
-// unbounded models are reported via Result.Status with a nil error.
+// to integer values. The base problem is not modified. Infeasible models
+// are reported via Result.Status with a nil error; a model outside the lp
+// package's accepted class fails its root relaxation with an error
+// wrapping lp.ErrUnboundedColumn.
 //
 // Cancellation is cooperative: the search checks ctx before expanding each
 // node and the node relaxations poll it between simplex pivots, so a
@@ -361,12 +360,6 @@ func solve(ctx context.Context, base *lp.Problem, isInt []bool, opts Options) (*
 					}
 					return res, nil
 				}
-			case lp.Unbounded:
-				res.Status = Unbounded
-				if progress != nil {
-					emitProgress(progress, KindFinal, res, true)
-				}
-				return res, nil
 			case lp.Optimal:
 				res.Bound = sol.Objective
 			}

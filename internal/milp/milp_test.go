@@ -107,6 +107,9 @@ func TestLPInfeasible(t *testing.T) {
 	}
 }
 
+// TestUnboundedModel: a model with a negative-cost column and no upper
+// bound is outside the lp package's accepted class, so the root relaxation
+// rejects it with the typed lp.ErrUnboundedColumn instead of a status.
 func TestUnboundedModel(t *testing.T) {
 	p := lp.NewProblem()
 	x := p.AddVariable("x", -1) // continuous, unbounded below in objective
@@ -114,11 +117,8 @@ func TestUnboundedModel(t *testing.T) {
 	_ = p.SetUpperBound(y, 1)
 	_ = x
 	res, err := Solve(context.Background(), p, []bool{false, true}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != Unbounded {
-		t.Errorf("status = %v, want unbounded", res.Status)
+	if !errors.Is(err, lp.ErrUnboundedColumn) {
+		t.Fatalf("res = %+v, err = %v, want ErrUnboundedColumn", res, err)
 	}
 }
 

@@ -35,6 +35,9 @@ func TestPoolPanicIsolation(t *testing.T) {
 		}
 	}
 	wg.Wait()
+	// The survivors can finish on the other worker before the panicking
+	// one has run the handler; Close waits for every worker to return.
+	p.Close()
 
 	if got := ran.Load(); got != 4 {
 		t.Fatalf("tasks after panic ran %d times, want 4", got)
