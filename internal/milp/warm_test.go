@@ -14,7 +14,7 @@ import (
 // instance: half the pre-warm-start seed measurement (3598 pivots with the
 // cold Bland/Dantzig solver at every node), so holding the gate proves the
 // required >= 2x total-pivot reduction survives future changes. The
-// warm-started dual simplex with Devex pricing currently needs ~508.
+// warm-started dual simplex with Devex pricing currently needs ~539.
 const pivotGateBaseline = 1799
 
 // TestPivotRegressionGate solves the pinned ILPQC benchmark instance and

@@ -669,10 +669,14 @@ func (s *Server) runJob(ctx context.Context, job *Job, sc *scenario.Scenario, cf
 	}
 	sizeClass := admit.SizeClass(len(sc.Subscribers))
 	outcome := admit.Outcome{SizeClass: sizeClass, Failed: true}
-	// The deferred Finish is the panic backstop (Finish is idempotent; the
-	// first call wins, and outcome defaults to Failed until the solve
-	// settles it below).
-	defer func() { s.admit.Finish(grant, outcome) }()
+	// Every exit below settles the outcome with Finish before the job's
+	// terminal state is published, so a client that sees the job finish
+	// also sees its effect on the breaker, the cost model and the
+	// limiter. The deferred Finish is the panic backstop (Finish is
+	// idempotent; the first call wins, and outcome defaults to Failed
+	// until the solve settles it below).
+	settle := func() { s.admit.Finish(grant, outcome) }
+	defer settle()
 	if grant.HeuristicFirst() {
 		cfg.HeuristicFirst = true
 	}
@@ -730,19 +734,23 @@ func (s *Server) runJob(ctx context.Context, job *Job, sc *scenario.Scenario, cf
 			// Deadline misses are the breaker's signal; a client cancel is
 			// nobody's fault and must not shrink concurrency or trip anything.
 			outcome.Failed = outcome.DeadlineMiss
+			settle()
 			s.cancelJob(job, err.Error())
 		} else {
+			settle()
 			s.failJob(job, err.Error())
 		}
 		return
 	}
 	doc, err := buildResultDoc(sol)
 	if err != nil {
+		settle()
 		s.failJob(job, "encode result: "+err.Error())
 		return
 	}
 	outcome.Failed = false
 	outcome.Degraded = sol.Degraded
+	settle()
 	s.metrics.Solves.Add(1)
 	s.metrics.SolveMicros.Add(elapsed.Microseconds())
 	s.metrics.JobsCompleted.Add(1)
