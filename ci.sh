@@ -94,6 +94,12 @@ go run ./cmd/sagserved -smoke-progress
 echo "== go test -run TestPivotRegressionGate ./internal/milp/"
 go test -count=1 -run TestPivotRegressionGate ./internal/milp/
 
+# Allocation gate for SAMC's hitting-set local search: on a fixed
+# serve-mix-sized instance the search must allocate its scratch once per
+# call and nothing per move (a recorded allocation budget, not a timing).
+echo "== go test -run TestLocalSearchAllocs ./internal/hitting/"
+go test -count=1 -run TestLocalSearchAllocs ./internal/hitting/
+
 echo "== go test -race -run 'Warm' ./internal/lp/ ./internal/milp/"
 go test -race -count=1 -run 'Warm' -timeout 10m ./internal/lp/ ./internal/milp/
 
@@ -104,6 +110,13 @@ go test -race -count=1 -run 'Warm' -timeout 10m ./internal/lp/ ./internal/milp/
 # time.
 echo "== go test -fuzz FuzzGeneralLP ./internal/lp/ (15s)"
 go test -run '^$' -fuzz '^FuzzGeneralLP$' -fuzztime 15s ./internal/lp/
+
+# Differential gate for the hitting-set local search: fuzz seeded instances
+# (1-200 disks, Tol zero and positive, every swap size and round cap)
+# against the original map-and-clone search kept in reference_test.go —
+# Chosen, GreedySize and Rounds must match exactly.
+echo "== go test -fuzz FuzzLocalSearch ./internal/hitting/ (10s)"
+go test -run '^$' -fuzz '^FuzzLocalSearch$' -fuzztime 10s ./internal/hitting/
 
 # Incremental-equivalence gate: a mutation storm of every delta kind (add,
 # remove, move and traffic-change subscribers; add and remove base stations)

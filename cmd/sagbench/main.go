@@ -8,6 +8,7 @@
 //	sagbench -exp fig7b -csv out/  # also write CSV files into a directory
 //	sagbench -list                 # list artifact IDs
 //	sagbench -bench-json BENCH.json  # machine-readable solver benchmarks
+//	sagbench -exp fig3a -cpuprofile cpu.prof  # profile it (go tool pprof)
 //
 // Figures involving the ILP solvers (IAC/GAC) take minutes at full runs;
 // -runs 1 gives a quick qualitative pass.
@@ -21,6 +22,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -36,7 +38,7 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("sagbench", flag.ContinueOnError)
 	var (
 		exp      = fs.String("exp", "", "experiment id (or 'all')")
@@ -56,9 +58,24 @@ func run(args []string) error {
 			"write the invocation's span tree (every solve of every experiment) as JSON to this file")
 		benchJSON = fs.String("bench-json", "",
 			"run the solver benchmark suite and write machine-readable results (BENCH_<n>.json) to this file")
+		cpuProfile = fs.String("cpuprofile", "",
+			"write a CPU profile of the whole invocation (experiments or -bench-json) to this file, for go tool pprof")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *cpuProfile != "" {
+		stop, perr := startCPUProfile(*cpuProfile)
+		if perr != nil {
+			return perr
+		}
+		// err is run's named result: a failed close fails an otherwise
+		// successful invocation.
+		defer func() {
+			if serr := stop(); err == nil {
+				err = serr
+			}
+		}()
 	}
 	if *benchJSON != "" {
 		return runBenchJSON(*benchJSON)
@@ -146,4 +163,24 @@ func run(args []string) error {
 		}
 	}
 	return nil
+}
+
+// startCPUProfile starts a CPU profile written to path. The returned func
+// stops it and closes the file.
+func startCPUProfile(path string) (func() error, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, fmt.Errorf("cpuprofile: %w", err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("cpuprofile: %w", err)
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			return fmt.Errorf("cpuprofile: %w", err)
+		}
+		return nil
+	}, nil
 }

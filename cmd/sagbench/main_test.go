@@ -47,3 +47,22 @@ func TestRunCheapArtifactWithCSV(t *testing.T) {
 		t.Error("empty CSV written")
 	}
 }
+
+func TestCPUProfileFlag(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.prof")
+	// fig4d is SAMC+UCPO only: the cheapest artifact.
+	if err := run([]string{"-exp", "fig4d", "-runs", "1", "-quiet", "-cpuprofile", path}); err != nil {
+		t.Fatalf("fig4d -cpuprofile: %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A pprof profile is a gzip-compressed protobuf.
+	if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+		t.Errorf("-cpuprofile wrote %d bytes that are not a gzip stream", len(data))
+	}
+	if err := run([]string{"-list", "-cpuprofile", filepath.Join(t.TempDir(), "absent", "cpu.prof")}); err == nil {
+		t.Error("-cpuprofile into a missing directory accepted")
+	}
+}

@@ -79,19 +79,13 @@ func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 func (b bitset) set(i int)      { b[i/64] |= 1 << (uint(i) % 64) }
 func (b bitset) has(i int) bool { return b[i/64]&(1<<(uint(i)%64)) != 0 }
 
-func (b bitset) clone() bitset {
-	c := make(bitset, len(b))
-	copy(c, b)
-	return c
-}
-
 func (b bitset) orInto(o bitset) {
 	for i := range b {
 		b[i] |= o[i]
 	}
 }
 
-// countAndNotIn returns |o \ b|: bits of o not present in b.
+// countNotIn returns |o \ b|: bits of o not present in b.
 func (b bitset) countNotIn(o bitset) int {
 	n := 0
 	for i := range b {
@@ -100,14 +94,34 @@ func (b bitset) countNotIn(o bitset) int {
 	return n
 }
 
-// containsAll reports whether every bit of o is set in b.
-func (b bitset) containsAll(o bitset) bool {
+// coveredBy reports whether s hits every disk of b (b &^ s == 0).
+func (b bitset) coveredBy(s bitset) bool {
 	for i := range b {
-		if o[i]&^b[i] != 0 {
+		if b[i]&^s[i] != 0 {
 			return false
 		}
 	}
 	return true
+}
+
+// coveredBy2 reports whether s and t together hit every disk of b.
+func (b bitset) coveredBy2(s, t bitset) bool {
+	for i := range b {
+		if b[i]&^(s[i]|t[i]) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// meets reports whether s hits some disk of b.
+func (b bitset) meets(s bitset) bool {
+	for i := range b {
+		if b[i]&s[i] != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 func (b bitset) popcount() int {
@@ -118,11 +132,14 @@ func (b bitset) popcount() int {
 	return n
 }
 
-// hitSets returns, per candidate, the bitset of disks it hits.
+// hitSets returns, per candidate, the bitset of disks it hits. The sets
+// share one backing array.
 func (in *Instance) hitSets() []bitset {
+	nW := (len(in.Disks) + 63) / 64
+	words := make([]uint64, len(in.Candidates)*nW)
 	sets := make([]bitset, len(in.Candidates))
 	for c, p := range in.Candidates {
-		s := newBitset(len(in.Disks))
+		s := bitset(words[c*nW : (c+1)*nW : (c+1)*nW])
 		for d, disk := range in.Disks {
 			if disk.Contains(p, in.Tol) {
 				s.set(d)
@@ -339,142 +356,147 @@ func greedy(hit []bitset, nD int) []int {
 // localSearch improves the solution with (q -> q-1) swaps for q = 1..MaxSwap:
 // q=1 removes redundant points; q=2 replaces two points with one; q=3
 // replaces three with two. Sweeps repeat until a full round makes no
-// progress or MaxRounds is hit.
+// progress or MaxRounds is hit. No move allocates: every move works in one
+// per-call scratch and edits chosen in place.
 func localSearch(hit []bitset, nD int, chosen []int, opts Options) ([]int, int) {
+	s := newSearch(hit, nD)
 	rounds := 0
 	for rounds < opts.MaxRounds {
 		rounds++
-		improved := false
-		if removeRedundant(hit, nD, &chosen) {
-			improved = true
+		var removed, swapped2, swapped3 bool
+		chosen, removed = s.removeRedundant(chosen)
+		if opts.MaxSwap >= 2 {
+			chosen, swapped2 = s.swap21(chosen)
 		}
-		if opts.MaxSwap >= 2 && swap21(hit, nD, &chosen) {
-			improved = true
+		if opts.MaxSwap >= 3 {
+			chosen, swapped3 = s.swap32(chosen)
 		}
-		if opts.MaxSwap >= 3 && swap32(hit, nD, &chosen) {
-			improved = true
-		}
-		if !improved {
+		if !removed && !swapped2 && !swapped3 {
 			break
 		}
 	}
 	return chosen, rounds
 }
 
-// coverageWithout returns the union of hit sets of chosen, skipping indices
-// in the skip set.
-func coverageWithout(hit []bitset, nD int, chosen []int, skip map[int]bool) bitset {
-	cov := newBitset(nD)
-	for _, c := range chosen {
-		if skip[c] {
-			continue
-		}
-		cov.orInto(hit[c])
+// search is localSearch's scratch. missing holds the disks that the chosen
+// points outside the move under test leave unhit; useful holds swap32's
+// candidates that hit at least one of them.
+//
+// The moves skip chosen points by value. That is exact because chosen never
+// holds a point twice: greedy only picks points that hit an unhit disk, and
+// a swap only adds candidates that hit a disk the rest of chosen misses
+// (swap21 runs right after removeRedundant, so some disk is always missing).
+type search struct {
+	hit     []bitset
+	all     bitset
+	missing bitset
+	useful  []int
+}
+
+func newSearch(hit []bitset, nD int) *search {
+	nW := (nD + 63) / 64
+	words := make([]uint64, 2*nW)
+	s := &search{hit: hit, all: words[:nW:nW], missing: words[nW:], useful: make([]int, 0, len(hit))}
+	for d := 0; d < nD; d++ {
+		s.all.set(d)
 	}
-	return cov
+	return s
+}
+
+// uncover sets missing to the disks that no chosen point other than a, b
+// and c hits (-1 skips nothing) and reports whether any disk is missing.
+func (s *search) uncover(chosen []int, a, b, c int) bool {
+	copy(s.missing, s.all)
+	for _, v := range chosen {
+		if v != a && v != b && v != c {
+			for i, w := range s.hit[v] {
+				s.missing[i] &^= w
+			}
+		}
+	}
+	for _, w := range s.missing {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// without removes the entries at positions i < j < k (k = -1: only i and
+// j) from chosen in place, keeping the order of the others.
+func without(chosen []int, i, j, k int) []int {
+	out := chosen[:0]
+	for p, v := range chosen {
+		if p != i && p != j && p != k {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // removeRedundant deletes chosen points whose disks are all covered by the
-// rest (1 -> 0 swaps). Returns true when anything was removed.
-func removeRedundant(hit []bitset, nD int, chosen *[]int) bool {
+// rest (1 -> 0 swaps). It reports whether anything was removed.
+func (s *search) removeRedundant(chosen []int) ([]int, bool) {
 	removed := false
-	for i := 0; i < len(*chosen); {
-		c := (*chosen)[i]
-		rest := coverageWithout(hit, nD, *chosen, map[int]bool{c: true})
-		if rest.containsAll(hit[c]) && rest.popcount() == nD {
-			*chosen = append((*chosen)[:i], (*chosen)[i+1:]...)
+	for i := 0; i < len(chosen); {
+		if !s.uncover(chosen, chosen[i], -1, -1) {
+			chosen = append(chosen[:i], chosen[i+1:]...)
 			removed = true
 			continue
 		}
 		i++
 	}
-	return removed
+	return chosen, removed
 }
 
 // swap21 tries to replace a pair of chosen points with a single candidate
-// (2 -> 1 swaps). Returns true on the first successful swap per sweep.
-func swap21(hit []bitset, nD int, chosen *[]int) bool {
-	ch := *chosen
-	for i := 0; i < len(ch); i++ {
-		for j := i + 1; j < len(ch); j++ {
-			rest := coverageWithout(hit, nD, ch, map[int]bool{ch[i]: true, ch[j]: true})
-			// need = disks covered only by the removed pair
-			for c, s := range hit {
-				if c == ch[i] || c == ch[j] {
-					continue
-				}
-				merged := rest.clone()
-				merged.orInto(s)
-				if merged.popcount() == nD {
-					out := make([]int, 0, len(ch)-1)
-					for k, v := range ch {
-						if k != i && k != j {
-							out = append(out, v)
-						}
-					}
-					out = append(out, c)
-					*chosen = out
-					return true
+// (2 -> 1 swaps). It stops at the first successful swap of the sweep.
+func (s *search) swap21(chosen []int) ([]int, bool) {
+	for i := 0; i < len(chosen); i++ {
+		for j := i + 1; j < len(chosen); j++ {
+			pi, pj := chosen[i], chosen[j]
+			s.uncover(chosen, pi, pj, -1)
+			for c, h := range s.hit {
+				if c != pi && c != pj && s.missing.coveredBy(h) {
+					return append(without(chosen, i, j, -1), c), true
 				}
 			}
 		}
 	}
-	return false
+	return chosen, false
 }
 
 // swap32 tries to replace a triple of chosen points with two candidates
 // (3 -> 2 swaps). To stay polynomial it only pairs candidates that each
 // cover at least one disk the triple exclusively covered.
-func swap32(hit []bitset, nD int, chosen *[]int) bool {
-	ch := *chosen
-	if len(ch) < 3 {
-		return false
-	}
-	for i := 0; i < len(ch); i++ {
-		for j := i + 1; j < len(ch); j++ {
-			for k := j + 1; k < len(ch); k++ {
-				skip := map[int]bool{ch[i]: true, ch[j]: true, ch[k]: true}
-				rest := coverageWithout(hit, nD, ch, skip)
-				// Candidates that help at all:
-				var useful []int
-				for c, s := range hit {
-					if skip[c] {
-						continue
-					}
-					if rest.countNotIn(s) > 0 {
-						useful = append(useful, c)
+func (s *search) swap32(chosen []int) ([]int, bool) {
+	for i := 0; i < len(chosen); i++ {
+		for j := i + 1; j < len(chosen); j++ {
+			for k := j + 1; k < len(chosen); k++ {
+				pi, pj, pk := chosen[i], chosen[j], chosen[k]
+				if !s.uncover(chosen, pi, pj, pk) {
+					continue // no candidate helps
+				}
+				s.useful = s.useful[:0]
+				for c, h := range s.hit {
+					if c != pi && c != pj && c != pk && s.missing.meets(h) {
+						s.useful = append(s.useful, c)
 					}
 				}
-				for a := 0; a < len(useful); a++ {
-					mergedA := rest.clone()
-					mergedA.orInto(hit[useful[a]])
-					if mergedA.popcount() == nD {
+				for x, a := range s.useful {
+					ha := s.hit[a]
+					if s.missing.coveredBy(ha) {
 						// Even a single candidate suffices: 3 -> 1.
-						*chosen = rebuild(ch, skip, useful[a])
-						return true
+						return append(without(chosen, i, j, k), a), true
 					}
-					for b := a + 1; b < len(useful); b++ {
-						merged := mergedA.clone()
-						merged.orInto(hit[useful[b]])
-						if merged.popcount() == nD {
-							*chosen = rebuild(ch, skip, useful[a], useful[b])
-							return true
+					for _, b := range s.useful[x+1:] {
+						if s.missing.coveredBy2(ha, s.hit[b]) {
+							return append(without(chosen, i, j, k), a, b), true
 						}
 					}
 				}
 			}
 		}
 	}
-	return false
-}
-
-// rebuild returns chosen minus the skipped indices plus the replacements.
-func rebuild(chosen []int, skip map[int]bool, add ...int) []int {
-	out := make([]int, 0, len(chosen))
-	for _, v := range chosen {
-		if !skip[v] {
-			out = append(out, v)
-		}
-	}
-	return append(out, add...)
+	return chosen, false
 }

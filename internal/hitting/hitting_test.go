@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"sagrelay/internal/geom"
+	"sagrelay/internal/scenario"
 )
 
 func TestEmptyInstance(t *testing.T) {
@@ -262,5 +263,53 @@ func TestMaxRoundsRespected(t *testing.T) {
 	}
 	if sol.Rounds > 1 {
 		t.Errorf("Rounds = %d, want <= 1", sol.Rounds)
+	}
+}
+
+// Allocation budgets of TestLocalSearchAllocs. The local search allocates
+// its scratch once per call and nothing per move; Solve adds the hit sets,
+// the greedy cover and the Solution. Neither count depends on how many
+// moves the search takes.
+const (
+	localSearchAllocBudget = 2
+	solveAllocBudget       = 13
+)
+
+// TestLocalSearchAllocs gates the allocation count of the local search on
+// a serve-mix-sized instance (40 subscribers on the 800 m field, 4 base
+// stations) whose search improves on greedy. It counts allocations, which
+// are deterministic, rather than timing anything.
+func TestLocalSearchAllocs(t *testing.T) {
+	sc, err := scenario.Generate(scenario.GenConfig{FieldSide: 800, NumSS: 40, NumBS: 4, SNRdB: -15, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	disks := sc.FeasibleCircles()
+	in := &Instance{Disks: disks, Candidates: geom.IntersectionCandidates(disks), Tol: 1e-7}
+	opts := DefaultOptions()
+	sol, err := in.Solve(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sol.Chosen) >= sol.GreedySize {
+		t.Fatalf("instance no longer exercises a move: greedy %d, chosen %d", sol.GreedySize, len(sol.Chosen))
+	}
+	hit := in.hitSets()
+	start := greedy(hit, len(disks))
+	buf := make([]int, len(start))
+	search := testing.AllocsPerRun(50, func() {
+		copy(buf, start)
+		localSearch(hit, len(disks), buf, opts.withDefaults())
+	})
+	if search > localSearchAllocBudget {
+		t.Errorf("localSearch: %v allocs per call, budget %d", search, localSearchAllocBudget)
+	}
+	solve := testing.AllocsPerRun(50, func() {
+		if _, err := in.Solve(opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if solve > solveAllocBudget {
+		t.Errorf("Solve: %v allocs per call, budget %d", solve, solveAllocBudget)
 	}
 }

@@ -391,7 +391,7 @@ func (s *Server) SubmitBatchFrom(client string, req BatchRequest) (*Batch, error
 			reqBytes, err := json.Marshal(SolveRequest{Scenario: preps[i].sc, Options: opts})
 			if err != nil {
 				job.cancelNow()
-				s.failJob(job, "encode request for journal: "+err.Error())
+				s.failJob(job, "encode request for journal: "+err.Error(), nil)
 				continue
 			}
 			s.jappend(jrec{T: recSubmit, ID: job.ID, Key: job.Key, Req: reqBytes})
@@ -436,7 +436,7 @@ func (s *Server) feedBatch(b *Batch, feed []feedEntry) {
 	for _, fe := range feed {
 		if b.isCancelled() {
 			fe.job.cancelNow()
-			s.cancelJob(fe.job, "batch cancelled")
+			s.cancelJob(fe.job, "batch cancelled", nil)
 			continue
 		}
 		fe := fe
@@ -444,7 +444,7 @@ func (s *Server) feedBatch(b *Batch, feed []feedEntry) {
 		if err := s.pool.SubmitBlocking(func() { s.runJob(fe.ctx, fe.job, fe.sc, fe.cfg) }); err != nil {
 			s.inFlight.Done()
 			fe.job.cancelNow()
-			s.cancelJob(fe.job, "batch: "+err.Error())
+			s.cancelJob(fe.job, "batch: "+err.Error(), nil)
 		}
 	}
 }

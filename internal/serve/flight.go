@@ -32,12 +32,14 @@ var flightSeq atomic.Int64
 
 // recordFlight retains a finished job in the flight ring. outcome is the
 // record's headline ("done", "degraded", "failed", "cancelled",
-// "cache_hit"); bad routes it into the preferentially-retained half.
-func (s *Server) recordFlight(job *Job, outcome string, bad, degraded bool) {
+// "cache_hit"); bad routes it into the preferentially-retained half. trace
+// is the job's span tree, nil when no solve ran; the flight record is its
+// only holder besides the result document's own copy.
+func (s *Server) recordFlight(job *Job, outcome string, bad, degraded bool, trace *obs.SpanDoc) {
 	if s.flight == nil {
 		return
 	}
-	errMsg, cacheHit, created, started, finished, trace := job.flightInfo()
+	errMsg, cacheHit, created, started, finished := job.flightInfo()
 	if finished.IsZero() {
 		finished = time.Now()
 	}

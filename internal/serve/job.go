@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"sagrelay/internal/admit"
-	"sagrelay/internal/obs"
 )
 
 // JobState is the lifecycle of a submitted solve.
@@ -66,9 +65,6 @@ type Job struct {
 	started  time.Time
 	finished time.Time
 	result   []byte
-	// trace is the finished solve's span-tree document, retained for the
-	// flight record (the result document embeds its own copy).
-	trace *obs.SpanDoc
 }
 
 // jobSchema is the version tag of the job status document, serialized
@@ -182,18 +178,11 @@ func (j *Job) cancelNow() {
 // job never ran a solver (cache hit, restored terminal job).
 func (j *Job) progressState() *jobProgress { return j.progress }
 
-// setTrace retains the finished solve's span-tree document.
-func (j *Job) setTrace(doc *obs.SpanDoc) {
-	j.mu.Lock()
-	j.trace = doc
-	j.mu.Unlock()
-}
-
 // flightInfo snapshots the fields the flight recorder needs.
-func (j *Job) flightInfo() (errMsg string, cacheHit bool, created, started, finished time.Time, trace *obs.SpanDoc) {
+func (j *Job) flightInfo() (errMsg string, cacheHit bool, created, started, finished time.Time) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.err, j.cacheHit, j.created, j.started, j.finished, j.trace
+	return j.err, j.cacheHit, j.created, j.started, j.finished
 }
 
 // terminal reports whether the job has reached a final state.

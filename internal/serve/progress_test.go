@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
+	"sagrelay/internal/fault"
 	"sagrelay/internal/obs"
 	"sagrelay/internal/scenario"
 )
@@ -278,5 +280,104 @@ func TestFlightRecordAfterJob(t *testing.T) {
 				time.Sleep(10 * time.Millisecond)
 			}
 		}
+	}
+}
+
+// waitFlight returns the flight record of id once it lands (just after the
+// job's done channel closes).
+func waitFlight(t *testing.T, s *Server, id string) obs.FlightRecord {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if rec, ok := s.FlightRecorder().Get(id); ok {
+			return rec
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never got a flight record", id)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestFlightRecordsKeepTheirTrace checks that the flight record, not the
+// job, holds a solve's span tree: a solved job's /debug/flight/{id} detail
+// carries the same tree as its result document, a failure after the solve
+// keeps its tree, and cache hits, failures before any solve and shed
+// requests record no tree at all.
+func TestFlightRecordsKeepTheirTrace(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1})
+	fs := httptest.NewServer(s.FlightHandler())
+	defer fs.Close()
+	detailOf := func(id string) (obs.FlightRecord, flightDetail) {
+		t.Helper()
+		var rec struct {
+			obs.FlightRecord
+			Detail flightDetail `json:"detail"`
+		}
+		waitFlight(t, s, id)
+		getJSON(t, fs.URL+"/debug/flight/"+id, &rec)
+		return rec.FlightRecord, rec.Detail
+	}
+
+	solved := submitAndWait(t, s, tinyScenario(t), SolveOptions{})
+	doc, state := solved.ResultDocument()
+	if state != StateDone {
+		t.Fatalf("solve ended %v", state)
+	}
+	var result struct {
+		Trace *obs.SpanDoc `json:"trace"`
+	}
+	if err := json.Unmarshal(doc, &result); err != nil {
+		t.Fatal(err)
+	}
+	rec, detail := detailOf(solved.ID)
+	if rec.Outcome != "done" || detail.Trace == nil || detail.Trace.Name != "job" {
+		t.Fatalf("solved job's flight record: outcome %q, trace %+v", rec.Outcome, detail.Trace)
+	}
+	if !reflect.DeepEqual(detail.Trace, result.Trace) {
+		t.Error("flight record's span tree differs from the result document's")
+	}
+
+	// A cache hit ran no solve: its detail is the bare header, as before.
+	hit := submitAndWait(t, s, tinyScenario(t), SolveOptions{})
+	waitFlight(t, s, hit.ID)
+	raw, _ := s.FlightRecorder().Get(hit.ID)
+	if raw.Outcome != "cache_hit" || raw.Bad || string(raw.Detail) != `{"schema":"sagflightdetail/1","cache_hit":true}` {
+		t.Errorf("cache hit record: outcome %q bad %v detail %s", raw.Outcome, raw.Bad, raw.Detail)
+	}
+
+	// A job failing before its solve has progress rows but no tree.
+	armFault(t, "serve.job=error:n=1")
+	early := submitAndWait(t, s, distinctScenario(t, 501), SolveOptions{})
+	rec, detail = detailOf(early.ID)
+	if rec.Outcome != "failed" || !rec.Bad || rec.Error == "" || detail.Trace != nil || detail.Progress == nil {
+		t.Errorf("pre-solve failure record: %+v, detail %+v", rec, detail)
+	}
+	fault.Disable()
+
+	// A job whose exact solve fails, with degradation off, keeps the tree
+	// of the solve that failed.
+	armFault(t, "milp.node=error:p=1")
+	late := submitAndWait(t, s, distinctScenario(t, 502), SolveOptions{Coverage: "IAC", NoDegrade: true})
+	rec, detail = detailOf(late.ID)
+	if rec.Outcome != "failed" || !rec.Bad || detail.Trace == nil || detail.Trace.Name != "job" {
+		t.Errorf("post-solve failure record: outcome %q bad %v trace %+v", rec.Outcome, rec.Bad, detail.Trace)
+	}
+	fault.Disable()
+
+	// A shed request never became a job: a synthetic admission record with
+	// no detail document.
+	armFault(t, "admit.shed=error:n=1")
+	if _, err := s.Submit(SolveRequest{Scenario: distinctScenario(t, 503)}); err == nil {
+		t.Fatal("forced shed admitted the request")
+	}
+	var shed []obs.FlightRecord
+	for _, r := range s.FlightRecorder().Records() {
+		if r.Kind == "admission" {
+			shed = append(shed, r)
+		}
+	}
+	if len(shed) != 1 || shed[0].Outcome != "shed" || !shed[0].Bad || shed[0].Detail != nil {
+		t.Errorf("shed records: %+v", shed)
 	}
 }

@@ -435,7 +435,7 @@ func (s *Server) replay(recs []jrec) {
 		if err := s.pool.SubmitBlocking(func() { s.runJob(ctx, job, sc, cfg) }); err != nil {
 			s.inFlight.Done()
 			cancel()
-			s.failJob(job, "journal replay: "+err.Error())
+			s.failJob(job, "journal replay: "+err.Error(), nil)
 			continue
 		}
 		s.metrics.JournalReplayed.Add(1)
@@ -562,7 +562,7 @@ func (s *Server) submit(client string, req SolveRequest, meta *incrMeta) (*Job, 
 		s.jappend(jrec{T: recDone, ID: job.ID, Key: key})
 		job.finish(StateDone, cachedDoc, "")
 		s.log.Info("job done from cache", obs.LogJobID, job.ID, obs.LogClient, client, "key", key)
-		s.recordFlight(job, "cache_hit", false, false)
+		s.recordFlight(job, "cache_hit", false, false, nil)
 		return job, nil
 	}
 	s.metrics.CacheMisses.Add(1)
@@ -620,6 +620,9 @@ func (s *Server) removeJob(id string) {
 func (s *Server) runJob(ctx context.Context, job *Job, sc *scenario.Scenario, cfg core.Config) {
 	defer s.inFlight.Done()
 	defer job.cancelNow()
+	// trace is the finished solve's span tree, handed to the flight record
+	// of whichever exit the job takes once the solve has returned.
+	var trace *obs.SpanDoc
 	// Own the job's fate under panic: the pool's recover is only a
 	// process-survival backstop and cannot settle job state (it has no idea
 	// what a half-run task left behind). Without this, a panicking solve
@@ -630,13 +633,13 @@ func (s *Server) runJob(ctx context.Context, job *Job, sc *scenario.Scenario, cf
 			pe := fault.NewPanicError("serve.job", v)
 			s.metrics.JobsPanicked.Add(1)
 			s.log.Error("job panicked", obs.LogJobID, job.ID, "panic", pe.Error())
-			s.failJob(job, pe.Error())
+			s.failJob(job, pe.Error(), trace)
 		}
 	}()
 
 	if err := ctx.Err(); err != nil {
 		// Cancelled or timed out while still queued.
-		s.cancelJob(job, err.Error())
+		s.cancelJob(job, err.Error(), nil)
 		return
 	}
 	job.markRunning()
@@ -651,7 +654,7 @@ func (s *Server) runJob(ctx context.Context, job *Job, sc *scenario.Scenario, cf
 		ctx = milp.WithProgress(ctx, p.observe)
 	}
 	if err := fault.Check(siteJob); err != nil {
-		s.failJob(job, err.Error())
+		s.failJob(job, err.Error(), nil)
 		return
 	}
 
@@ -664,7 +667,7 @@ func (s *Server) runJob(ctx context.Context, job *Job, sc *scenario.Scenario, cf
 	if gerr != nil {
 		// The job's deadline expired (or shutdown began) while it waited for
 		// a slot; no slot is held.
-		s.cancelJob(job, gerr.Error())
+		s.cancelJob(job, gerr.Error(), nil)
 		return
 	}
 	sizeClass := admit.SizeClass(len(sc.Subscribers))
@@ -724,7 +727,7 @@ func (s *Server) runJob(ctx context.Context, job *Job, sc *scenario.Scenario, cf
 	sol, err := core.Run(ctx, sc, cfg)
 	elapsed := time.Since(start)
 	tr.Finish()
-	job.setTrace(tr.Doc())
+	trace = tr.Doc()
 	jobLatencySeconds.Observe(elapsed.Seconds())
 	outcome.Seconds = elapsed.Seconds()
 	outcome.DeadlineMiss = errors.Is(ctx.Err(), context.DeadlineExceeded)
@@ -735,17 +738,17 @@ func (s *Server) runJob(ctx context.Context, job *Job, sc *scenario.Scenario, cf
 			// nobody's fault and must not shrink concurrency or trip anything.
 			outcome.Failed = outcome.DeadlineMiss
 			settle()
-			s.cancelJob(job, err.Error())
+			s.cancelJob(job, err.Error(), trace)
 		} else {
 			settle()
-			s.failJob(job, err.Error())
+			s.failJob(job, err.Error(), trace)
 		}
 		return
 	}
 	doc, err := buildResultDoc(sol)
 	if err != nil {
 		settle()
-		s.failJob(job, "encode result: "+err.Error())
+		s.failJob(job, "encode result: "+err.Error(), trace)
 		return
 	}
 	outcome.Failed = false
@@ -769,7 +772,7 @@ func (s *Server) runJob(ctx context.Context, job *Job, sc *scenario.Scenario, cf
 		job.finish(StateDone, doc, "")
 		s.log.Warn("job done degraded", obs.LogJobID, job.ID,
 			"elapsed_ms", elapsed.Milliseconds(), "degraded", sol.Degraded, "fast", fast)
-		s.recordFlight(job, "degraded", true, sol.Degraded)
+		s.recordFlight(job, "degraded", true, sol.Degraded, trace)
 		return
 	}
 	s.cache.put(job.Key, doc)
@@ -783,23 +786,24 @@ func (s *Server) runJob(ctx context.Context, job *Job, sc *scenario.Scenario, cf
 	}
 	job.finish(StateDone, doc, "")
 	s.log.Info("job done", obs.LogJobID, job.ID, "elapsed_ms", elapsed.Milliseconds())
-	s.recordFlight(job, "done", false, false)
+	s.recordFlight(job, "done", false, false, trace)
 }
 
 // failJob finishes a job as failed, with the journal and counters agreeing.
-func (s *Server) failJob(job *Job, msg string) {
+// trace is the job's span tree for its flight record, nil when no solve ran.
+func (s *Server) failJob(job *Job, msg string, trace *obs.SpanDoc) {
 	s.metrics.JobsFailed.Add(1)
 	s.jappend(jrec{T: recFail, ID: job.ID, Err: msg})
 	job.finish(StateFailed, nil, msg)
 	s.log.Error("job failed", obs.LogJobID, job.ID, "error", msg)
-	s.recordFlight(job, "failed", true, false)
+	s.recordFlight(job, "failed", true, false, trace)
 }
 
 // cancelJob finishes a cancelled job. During shutdown the journal records an
 // interrupt instead of a cancel: the client never asked for the abort, so
 // the next start re-runs the job; a deliberate cancel (client DELETE or
 // per-job deadline) stays dead across restarts.
-func (s *Server) cancelJob(job *Job, msg string) {
+func (s *Server) cancelJob(job *Job, msg string, trace *obs.SpanDoc) {
 	s.metrics.JobsCancelled.Add(1)
 	if s.isDraining() {
 		s.jappend(jrec{T: recInterrupt, ID: job.ID, Err: msg})
@@ -810,7 +814,7 @@ func (s *Server) cancelJob(job *Job, msg string) {
 	s.jappend(jrec{T: recCancel, ID: job.ID, Err: msg})
 	job.finish(StateCancelled, nil, msg)
 	s.log.Info("job cancelled", obs.LogJobID, job.ID, "error", msg)
-	s.recordFlight(job, "cancelled", true, false)
+	s.recordFlight(job, "cancelled", true, false, trace)
 }
 
 func (s *Server) isDraining() bool {
